@@ -28,21 +28,25 @@ test-differential:
 	echo "differential suites: $$(echo "$$out" | grep -c -- '--- PASS') passes, no skips"
 
 # A few seconds of coverage-guided fuzzing per native target: the
-# assembler must never panic on arbitrary source, and no UART input may
-# compromise the protected overflow victim. The committed seed corpora
+# assembler must never panic on arbitrary source, no UART input may
+# compromise the protected overflow victim, and no generated
+# instruction stream may run differently on the fast paths than on the
+# reference interpreter under any defense. The committed seed corpora
 # under */testdata/fuzz/ anchor the search; real finds land there as
 # regression inputs.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzAssemble$$' -fuzztime=5s ./internal/asm
 	$(GO) test -run='^$$' -fuzz='^FuzzUARTPayload$$' -fuzztime=5s ./internal/attacks
+	$(GO) test -run='^$$' -fuzz='^FuzzExecDifferential$$' -fuzztime=5s ./internal/core
 
 # One-iteration benchmark pass so throughput regressions surface in PRs
 # without burning CI minutes. NoBlocks rides along so the block layer's
-# contribution stays individually measurable; MachineChurn guards the
-# recycled machine-lifecycle overhead, and Coordinator_ShardScaling the
+# contribution stays individually measurable; DefenseThroughput tracks
+# each defense column on a real app; MachineChurn guards the recycled
+# machine-lifecycle overhead, and Coordinator_ShardScaling the
 # multi-process spawn/supervise/merge overhead.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='BenchmarkSimulator_Throughput$$|BenchmarkSimulator_ThroughputNoBlocks$$|BenchmarkFleet_MachineChurn' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='BenchmarkSimulator_Throughput$$|BenchmarkSimulator_ThroughputNoBlocks$$|BenchmarkSimulator_DefenseThroughput|BenchmarkFleet_MachineChurn' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='BenchmarkCoordinator_ShardScaling' -benchtime=1x ./cmd/eilid-fleet
 	$(GO) test -run='^$$' -bench='BenchmarkFleetd_WarmResubmit' -benchtime=1x ./cmd/eilid-fleetd
 
@@ -50,13 +54,14 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
 # bench-json records the performance trajectory in-repo: the simulator
-# throughput benchmarks (timed) plus the Table IV sweep (one iteration),
+# throughput benchmarks, per defense column too (timed), plus the
+# Table IV sweep (one iteration),
 # parsed into the first free BENCH_<n>.json so each PR appends a point
 # to the trajectory instead of overwriting the previous one. The bench
 # output goes through a temp file so a failing/panicking benchmark fails
 # the target instead of silently writing a partial record.
 bench-json:
-	$(GO) test -run='^$$' -bench='BenchmarkSimulator_Throughput|BenchmarkFleet_MachineChurn' -benchtime=2s . > BENCH.txt.tmp
+	$(GO) test -run='^$$' -bench='BenchmarkSimulator_Throughput|BenchmarkSimulator_DefenseThroughput|BenchmarkFleet_MachineChurn' -benchtime=2s . > BENCH.txt.tmp
 	$(GO) test -run='^$$' -bench='BenchmarkSimulator_FleetMatrix$$|BenchmarkTable4$$' -benchtime=1x . >> BENCH.txt.tmp
 	$(GO) test -run='^$$' -bench='BenchmarkCoordinator_ShardScaling' -benchtime=1x ./cmd/eilid-fleet >> BENCH.txt.tmp
 	$(GO) test -run='^$$' -bench='BenchmarkFleetd_WarmResubmit' -benchtime=10x ./cmd/eilid-fleetd >> BENCH.txt.tmp

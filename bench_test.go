@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"eilid/internal/apps"
+	"eilid/internal/attacks"
 	"eilid/internal/core"
 	"eilid/internal/eval"
 	"eilid/internal/fleet"
@@ -73,18 +74,21 @@ func runOnce(b *testing.B, p *core.Pipeline, app apps.App, build *core.BuildResu
 	return res.Cycles
 }
 
+// table4Defenses are the two device variants Table IV compares.
+var table4Defenses = []string{core.DefenseBaseline.Name, core.DefenseEILID.Name}
+
 // BenchmarkTable4 regenerates the run-time dimension of Table IV
 // through the fleet runner: the application is assembled and predecoded
 // once (NewRunner, untimed), then every iteration replays both device
-// variants as fleet jobs and reports simulated cycles plus the overhead
-// percentage.
+// variants (baseline and eilid) as fleet jobs and reports simulated
+// cycles plus the overhead percentage.
 func BenchmarkTable4(b *testing.B) {
 	p := newPipeline(b)
 	for _, app := range apps.All() {
 		app := app
 		b.Run(app.Name, func(b *testing.B) {
 			r, err := fleet.NewRunner(p, fleet.BatchSpec{
-				Matrix: fleet.MatrixSpec{Apps: []string{app.Name}, NoScenarios: true},
+				Matrix: fleet.MatrixSpec{Apps: []string{app.Name}, NoScenarios: true, Defenses: table4Defenses},
 				Exec:   fleet.ExecSpec{Workers: 2},
 			})
 			if err != nil {
@@ -106,7 +110,14 @@ func BenchmarkTable4(b *testing.B) {
 			if rep.Failures != 0 {
 				b.Fatalf("fleet job failed: %+v", rep.Results)
 			}
-			orig, inst := rep.Results[0].Cycles, rep.Results[1].Cycles
+			cycles := map[string]uint64{}
+			for _, res := range rep.Results {
+				cycles[res.Defense] = res.Cycles
+			}
+			orig, inst := cycles[core.DefenseBaseline.Name], cycles[core.DefenseEILID.Name]
+			if len(rep.Results) != len(table4Defenses) || orig == 0 || inst == 0 {
+				b.Fatalf("want one baseline and one eilid result, got %+v", rep.Results)
+			}
 			b.ReportMetric(float64(orig), "cycles-orig")
 			b.ReportMetric(float64(inst), "cycles-eilid")
 			b.ReportMetric(100*float64(inst-orig)/float64(orig), "overhead-%")
@@ -284,13 +295,68 @@ func BenchmarkSimulator_ThroughputNoPredecode(b *testing.B) {
 // measurable.
 func BenchmarkSimulator_ThroughputSlowPaths(b *testing.B) { benchmarkThroughput(b, true, false, true) }
 
+// BenchmarkSimulator_DefenseThroughput measures simulated cycles per
+// second of host time for each registered defense column on a real
+// application (Charlieplexing) the way the fleet runs it: the shared
+// per-ROM decode cache and block table, one machine recycled per
+// iteration.
+func BenchmarkSimulator_DefenseThroughput(b *testing.B) {
+	p := newPipeline(b)
+	app, ok := apps.ByName("Charlieplexing")
+	if !ok {
+		b.Fatal("Charlieplexing application missing")
+	}
+	build, err := p.Build(app.Name+".s", app.Source)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, spec := range core.Defenses() {
+		spec := spec
+		b.Run(spec.Name, func(b *testing.B) {
+			t := attacks.TargetFor(p, build, spec)
+			m, err := t.NewMachine()
+			if err != nil {
+				b.Fatal(err)
+			}
+			m.EnablePredecode()
+			m.Snapshot()
+			var cycles uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := m.Recycle(); err != nil {
+					b.Fatal(err)
+				}
+				m.Boot()
+				res, err := m.Run(app.MaxCycles)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Resets != 0 {
+					b.Fatalf("benign run reset: %v", m.ResetReasons)
+				}
+				cycles += res.Cycles
+			}
+			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "simMcycles/s")
+		})
+	}
+}
+
+// fleetMatrixDefenses pins the FleetMatrix workload's defense columns,
+// so a registry change cannot silently change what the benchmark runs.
+var fleetMatrixDefenses = []string{
+	core.DefenseBaseline.Name, core.DefenseEILID.Name, core.DefenseShadow.Name, core.DefenseCritVar.Name,
+}
+
 // BenchmarkSimulator_FleetMatrix executes the full application ×
-// variant × scenario matrix through the fleet runner on all CPUs —
-// the batch workload the fleet subsystem exists for. Artifacts (builds
-// and decode caches) are prepared once, untimed.
+// scenario matrix on the four defense columns through the fleet runner
+// on all CPUs — the batch workload the fleet subsystem exists for.
+// Artifacts (builds and decode caches) are prepared once, untimed.
 func BenchmarkSimulator_FleetMatrix(b *testing.B) {
 	p := newPipeline(b)
-	r, err := fleet.NewRunner(p, fleet.BatchSpec{Exec: fleet.ExecSpec{Workers: runtime.GOMAXPROCS(0)}})
+	r, err := fleet.NewRunner(p, fleet.BatchSpec{
+		Matrix: fleet.MatrixSpec{Defenses: fleetMatrixDefenses},
+		Exec:   fleet.ExecSpec{Workers: runtime.GOMAXPROCS(0)},
+	})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,5 +1,7 @@
 package casu
 
+import "eilid/internal/isa"
+
 // CritVar is an OAT-style critical-variable monitor (Sun et al.,
 // arXiv:1802.03462): EILID and shadow stacks attest *control flow*, but
 // an adversary with a data write primitive can corrupt the decision
@@ -12,7 +14,10 @@ package casu
 // Mechanics: each watched word keeps an attested copy. CPU stores are
 // on-bus — the hardware observes them — so they update the copy; at
 // every instruction boundary the comparators check the live memory
-// value against it. A divergence means the variable was changed behind
+// value against it. Inside a fused block only on-bus stores can change
+// memory, and they keep every copy equal to its word, so one sweep at
+// block entry (OnBlock) stands for the sweeps at its interior
+// boundaries. A divergence means the variable was changed behind
 // the monitored bus (DMA, a glitched write, the harness's
 // arbitrary-write primitive standing in for the paper's memory
 // vulnerability) and trips ViolationCritVar. The monitor watches no
@@ -97,6 +102,11 @@ func (c *CritVar) OnFetch(prev, pc uint16) {
 			c.attested[i] = c.cfg.Peek(w)
 		}
 	}
+}
+
+// OnBlock implements cpu.BlockWatcher: one comparator sweep per block.
+func (c *CritVar) OnBlock(prev, first, last uint16, _ isa.StackOp) {
+	c.OnFetch(prev, first)
 }
 
 // OnRead implements Defense (reads carry no new information here).

@@ -11,11 +11,22 @@ package casu
 //
 // Contract notes for implementers:
 //
-//   - All observation methods are called synchronously from the CPU's
-//     per-instruction (and per-fused-op) dispatch, so a violation raised
-//     in OnFetch/OnRead/OnWrite/OnInterrupt is visible to the machine's
-//     stop callback cycle-exactly — block execution and per-instruction
-//     execution must observe identical violation points.
+//   - All observation methods are called synchronously by the CPU at the
+//     event, so a violation raised in any of them is visible to the
+//     machine's stop callback cycle-exactly — block execution and
+//     per-instruction execution must observe identical violation points.
+//   - OnRead, OnWrite and OnInterrupt fire at every data access and
+//     interrupt acceptance on every execution path. OnFetch fires once
+//     per instruction executed one at a time (cpu.CPU.Step, and every
+//     instruction under SetBlockExec(false) or ForceSlowPaths).
+//   - A defense that also implements cpu.BlockWatcher's OnBlock declares
+//     a block-entry event: the block executor then calls OnBlock once
+//     per fused block, with the previous pc, the first and last pc and
+//     the final op's stack-op class, instead of OnFetch per op. A block
+//     lies in one memory region and its interior ops never call or
+//     return, so a defense whose fetch-side checks depend only on the
+//     region and on call/return events loses nothing. A defense without
+//     OnBlock keeps the per-op OnFetch stream on the guarded block path.
 //   - Violation returns the first breach since the last Clear; further
 //     breaches only increment the trip counters.
 //   - Clear re-arms after a device reset (violation state and any

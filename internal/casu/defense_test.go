@@ -172,9 +172,11 @@ func TestShadowOverflowDiscardsOldest(t *testing.T) {
 	}
 }
 
-// TestShadowInvalidation: a write over a cached fetch window drops the
-// stale classification, and PowerOn drops the whole cache (the recycle
-// path restores memory behind the monitor's back).
+// TestShadowInvalidation: the per-instruction path classifies the live
+// memory at every fetch, so a store that turns a CALL into a non-call
+// pushes no frame, and restoring the CALL (off-bus, as a recycle does)
+// pushes one again. The block path's counterpart is the
+// call-patched-away kernel in internal/core's monitored differential.
 func TestShadowInvalidation(t *testing.T) {
 	m := wordMem{}
 	ra := m.plant(t, 0xE000, call(0xE100))
@@ -182,33 +184,49 @@ func TestShadowInvalidation(t *testing.T) {
 
 	s := newShadow(m)
 	s.OnFetch(0, 0xE000)
-	s.OnFetch(0xE000, 0xE100) // call cached and resolved; ret cached
+	s.OnFetch(0xE000, 0xE100) // call resolved: frame pushed
 	s.OnFetch(0xE100, ra)
 	if s.Violation() != nil || s.Depth() != 0 {
 		t.Fatal("warm-up round trip failed")
 	}
 
-	// Overwrite the call site with something else on-bus; the next pass
-	// must not push a frame from the stale cache entry.
+	// Overwrite the call site with something else.
 	m[0xE000] = 0
 	m[0xE002] = 0
-	s.OnWrite(0xE100, 0xE000, false, 0)
-	s.OnWrite(0xE100, 0xE002, false, 0)
 	s.OnFetch(0, 0xE000)
 	s.OnFetch(0xE000, 0xE100)
 	if s.Depth() != 0 {
-		t.Fatalf("stale call classification survived OnWrite: depth = %d", s.Depth())
+		t.Fatalf("overwritten call pushed a frame: depth = %d", s.Depth())
 	}
 
-	// Restore the call off-bus (as a recycle does) — only PowerOn may
-	// resynchronize the cache.
 	words := isa.MustEncode(call(0xE100))
 	m[0xE000], m[0xE002] = words[0], words[1]
 	s.PowerOn()
 	s.OnFetch(0, 0xE000)
 	s.OnFetch(0xE000, 0xE100)
 	if s.Depth() != 1 {
-		t.Fatalf("PowerOn did not drop the decode cache: depth = %d", s.Depth())
+		t.Fatalf("restored call pushed no frame: depth = %d", s.Depth())
+	}
+}
+
+// TestShadowOnBlock: a block-entry event resolves the previous
+// instruction and takes the block's final op from the event, so the
+// same call/return sequence as TestShadowCallRetMatch needs no decode.
+func TestShadowOnBlock(t *testing.T) {
+	s := NewShadowStack(ShadowConfig{Peek: func(uint16) uint16 { return 0xFFFF }})
+	s.OnBlock(0, 0xE000, 0xE008, isa.StackOp{Class: isa.StackCall, RA: 0xE00C})
+	s.OnBlock(0xE008, 0xE100, 0xE104, isa.StackOp{Class: isa.StackRet})
+	if s.Depth() != 1 {
+		t.Fatalf("depth after call block = %d, want 1", s.Depth())
+	}
+	s.OnBlock(0xE104, 0xE00C, 0xE010, isa.StackOp{})
+	if v := s.Violation(); v != nil || s.Depth() != 0 {
+		t.Fatalf("matched return: violation %+v, depth %d", v, s.Depth())
+	}
+	s.OnBlock(0xE010, 0xE100, 0xE104, isa.StackOp{Class: isa.StackRet})
+	s.OnBlock(0xE104, 0xD000, 0xD000, isa.StackOp{})
+	if v := s.Violation(); v == nil || v.Kind != ViolationShadowRA || v.PC != 0xE104 || v.Addr != 0xD000 {
+		t.Fatalf("violation = %+v, want shadow-ra-mismatch at 0xe104 -> 0xd000", v)
 	}
 }
 

@@ -27,6 +27,7 @@ package casu
 import (
 	"fmt"
 
+	"eilid/internal/isa"
 	"eilid/internal/mem"
 )
 
@@ -206,7 +207,7 @@ func (m *Monitor) trip(kind ViolationKind, pc, addr uint16) {
 // entry/exit discipline.
 func (m *Monitor) OnFetch(prev, pc uint16) {
 	m.curPC = pc
-	l := m.cfg.Layout
+	l := &m.cfg.Layout
 	if !l.Executable(pc) {
 		m.trip(ViolationExecNonExec, prev, pc)
 		return
@@ -221,6 +222,13 @@ func (m *Monitor) OnFetch(prev, pc uint16) {
 	case fromSec && !toSec && prev != m.cfg.ExitPoint:
 		m.trip(ViolationSecureExit, prev, pc)
 	}
+}
+
+// OnBlock implements cpu.BlockWatcher: a fused block lies in one
+// region, so the fetch-side checks of its first op cover every op.
+func (m *Monitor) OnBlock(prev, first, last uint16, _ isa.StackOp) {
+	m.OnFetch(prev, first)
+	m.curPC = last
 }
 
 // OnRead implements cpu.Watcher: shadow-stack exclusivity on the read side.

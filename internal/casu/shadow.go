@@ -15,15 +15,23 @@ import "eilid/internal/isa"
 // matrix is meant to expose.
 //
 // Mechanics: the monitor classifies each fetched instruction (call,
-// ret — the MSP430 `mov @sp+, pc` idiom — or reti) by decoding it from
-// a side-effect-free memory tap, then resolves the classification at
-// the *next* control event, when the instruction has architecturally
-// completed: a call pushes its return address, a return is checked
-// against the recorded frames, an accepted interrupt pushes the
-// interrupted pc. Returns match by popping to the nearest agreeing call
-// frame (never across an interrupt frame), which tolerates benign
-// tail-call idioms while still catching every corrupted return: a
-// forged address equals no live frame.
+// ret — the MSP430 `mov @sp+, pc` idiom — or reti, see
+// isa.ClassifyStack), then resolves the classification at the *next*
+// control event, when the instruction has architecturally completed: a
+// call pushes its return address, a return is checked against the
+// recorded frames, an accepted interrupt pushes the interrupted pc.
+// Returns match by popping to the nearest agreeing call frame (never
+// across an interrupt frame), which tolerates benign tail-call idioms
+// while still catching every corrupted return: a forged address equals
+// no live frame.
+//
+// Classification has one source of truth, the CPU's view of the code.
+// A fused block arrives as one OnBlock event carrying its final op's
+// class from the shared block table (interior ops never call or
+// return), which the CPU enters only while no write has touched the
+// block's fetch window. A per-instruction fetch is classified by
+// decoding the live memory through the side-effect-free tap. There is
+// no private decode cache to fall out of step with memory.
 type ShadowStack struct {
 	cfg ShadowConfig
 
@@ -31,18 +39,9 @@ type ShadowStack struct {
 
 	stack []frame
 	// pending is the classification of the most recently fetched (now
-	// executing) instruction, resolved at the next OnFetch/OnInterrupt.
+	// executing) instruction, resolved at the next fetch, block entry or
+	// interrupt.
 	pending stackOp
-
-	// decode caches instruction classifications by pc for the current
-	// power cycle. Entries whose fetch window a write may have touched
-	// are dropped eagerly; PowerOn drops the whole cache, because wild
-	// control flow can classify job-dependent data bytes that the next
-	// job's restored image no longer matches — and the harness's
-	// arbitrary-write primitive is off-bus, so eager invalidation alone
-	// cannot see every divergence.
-	decode    map[uint16]stackOp
-	minCached uint16
 
 	// Trips counts violations since power-on.
 	Trips map[ViolationKind]int
@@ -60,22 +59,10 @@ type ShadowConfig struct {
 	MaxDepth int
 }
 
-type opClass uint8
-
-const (
-	opNone opClass = iota
-	opOther
-	opCall
-	opRet
-	opReti
-)
-
-// stackOp is a classified instruction: its class plus, for calls, the
-// return address the call records (pc + size).
+// stackOp is a classified instruction and its fetch address.
 type stackOp struct {
-	class opClass
-	ra    uint16
-	pc    uint16
+	isa.StackOp
+	pc uint16
 }
 
 type frameClass uint8
@@ -97,36 +84,28 @@ func NewShadowStack(cfg ShadowConfig) *ShadowStack {
 		cfg.MaxDepth = 256
 	}
 	return &ShadowStack{
-		cfg:       cfg,
-		stack:     make([]frame, 0, cfg.MaxDepth),
-		decode:    make(map[uint16]stackOp),
-		minCached: 0xFFFF,
-		Trips:     map[ViolationKind]int{},
+		cfg:   cfg,
+		stack: make([]frame, 0, cfg.MaxDepth),
+		Trips: map[ViolationKind]int{},
 	}
 }
 
 // Violation implements Defense.
 func (s *ShadowStack) Violation() *Violation { return s.violation }
 
-// Clear implements Defense: re-arm after a device reset. The decode
-// cache survives (code survives a reset; staleness is tracked by
-// OnWrite), but the call history does not.
+// Clear implements Defense: re-arm after a device reset; the call
+// history does not survive it.
 func (s *ShadowStack) Clear() {
 	s.violation = nil
 	s.stack = s.stack[:0]
 	s.pending = stackOp{}
 }
 
-// PowerOn implements Defense. The decode cache is dropped (cleared in
-// place — this path must not allocate): a recycle restores the sealed
-// memory image, and cached classifications of bytes the finished job
-// scribbled (or executed out of) would silently diverge from a freshly
-// constructed machine's.
+// PowerOn implements Defense (allocation-free: the recycle path runs
+// per job).
 func (s *ShadowStack) PowerOn() {
 	s.Clear()
 	clear(s.Trips)
-	clear(s.decode)
-	s.minCached = 0xFFFF
 }
 
 // TripCounts implements Defense.
@@ -142,29 +121,12 @@ func (s *ShadowStack) trip(kind ViolationKind, pc, addr uint16) {
 	}
 }
 
-// classify decodes (with caching) the instruction at pc.
+// classify decodes the instruction at pc from live memory.
 func (s *ShadowStack) classify(pc uint16) stackOp {
-	if op, ok := s.decode[pc]; ok {
-		return op
-	}
 	words := [3]uint16{s.cfg.Peek(pc), s.cfg.Peek(pc + 2), s.cfg.Peek(pc + 4)}
-	op := stackOp{class: opOther, pc: pc}
+	op := stackOp{pc: pc}
 	if in, _, err := isa.Decode(words[:]); err == nil {
-		switch {
-		case in.Op == isa.CALL:
-			op = stackOp{class: opCall, ra: pc + in.Size(), pc: pc}
-		case in.Op == isa.RETI:
-			op = stackOp{class: opReti, pc: pc}
-		case in.Op == isa.MOV && !in.Byte &&
-			in.Src.Mode == isa.ModeIndirectInc && in.Src.Reg == isa.SP &&
-			in.Dst.Mode == isa.ModeRegister && in.Dst.Reg == isa.PC:
-			// ret — the MSP430 emulated `mov @sp+, pc`.
-			op = stackOp{class: opRet, pc: pc}
-		}
-	}
-	s.decode[pc] = op
-	if pc < s.minCached {
-		s.minCached = pc
+		op.StackOp = isa.ClassifyStack(pc, in)
 	}
 	return op
 }
@@ -184,10 +146,10 @@ func (s *ShadowStack) push(f frame) {
 func (s *ShadowStack) resolvePending(target uint16) {
 	p := s.pending
 	s.pending = stackOp{}
-	switch p.class {
-	case opCall:
-		s.push(frame{class: frameCall, ra: p.ra})
-	case opRet:
+	switch p.Class {
+	case isa.StackCall:
+		s.push(frame{class: frameCall, ra: p.RA})
+	case isa.StackRet:
 		// Pop to the nearest matching call frame; an interrupt frame is
 		// a hard floor (a plain ret must never unwind an interrupt).
 		for i := len(s.stack) - 1; i >= 0; i-- {
@@ -201,7 +163,7 @@ func (s *ShadowStack) resolvePending(target uint16) {
 			}
 		}
 		s.trip(ViolationShadowRA, p.pc, target)
-	case opReti:
+	case isa.StackReti:
 		// A return-from-interrupt must match the top frame exactly: the
 		// hardware pushed it last.
 		if n := len(s.stack); n > 0 && s.stack[n-1].class == frameIRQ && s.stack[n-1].ra == target {
@@ -219,21 +181,19 @@ func (s *ShadowStack) OnFetch(prev, pc uint16) {
 	s.pending = s.classify(pc)
 }
 
+// OnBlock implements cpu.BlockWatcher: resolve the previous
+// instruction against the block's entry, then take the block's final op
+// as the pending one.
+func (s *ShadowStack) OnBlock(prev, first, last uint16, ender isa.StackOp) {
+	s.resolvePending(first)
+	s.pending = stackOp{StackOp: ender, pc: last}
+}
+
 // OnRead implements Defense (the shadow stack does not watch reads).
 func (s *ShadowStack) OnRead(pc, addr uint16, byteWide bool) {}
 
-// OnWrite implements Defense: drop decode-cache entries whose fetch
-// window the write may cover (an instruction starts at most four bytes
-// before a word it consumes).
-func (s *ShadowStack) OnWrite(pc, addr uint16, byteWide bool, value uint16) {
-	if s.minCached == 0xFFFF || int(addr) < int(s.minCached)-4 {
-		return
-	}
-	w := addr &^ 1
-	delete(s.decode, w)
-	delete(s.decode, w-2)
-	delete(s.decode, w-4)
-}
+// OnWrite implements Defense (the shadow stack does not watch writes).
+func (s *ShadowStack) OnWrite(pc, addr uint16, byteWide bool, value uint16) {}
 
 // OnInterrupt implements Defense: the instruction before the interrupt
 // completed with control headed to pc; record the interrupted context.

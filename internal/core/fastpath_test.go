@@ -83,8 +83,8 @@ func runObserved(t *testing.T, p *core.Pipeline, app apps.App, build *core.Build
 		t.Fatal(err)
 	}
 	m.EnablePredecode()
-	rec := &eventRecorder{inner: m.CPU.Watch, clock: func() uint64 { return m.CPU.Cycles }}
-	m.CPU.Watch = rec
+	rec := &eventRecorder{inner: m.CPU.Watcher(), clock: func() uint64 { return m.CPU.Cycles }}
+	m.CPU.SetWatcher(rec)
 	if configure != nil {
 		configure(m)
 	}

@@ -176,7 +176,7 @@ func NewMachine(opts MachineOptions) (*Machine, error) {
 	}
 	if spec.New != nil {
 		m.Monitor = spec.New(DefenseEnv{Config: cfg, ROM: opts.ROM, Peek: space.PeekWord})
-		m.CPU.Watch = m.Monitor
+		m.CPU.SetWatcher(m.Monitor)
 	}
 	if spec.GateIRQ {
 		m.CPU.IRQ = &casu.GateIRQ{
@@ -273,16 +273,19 @@ func (m *Machine) EnablePredecode() *isa.Predecoded {
 	// Only cache addresses whose whole fetch window stays in RAM-backed
 	// regions: a window that strays into the unmapped hole between the
 	// secure ROM and the IVT must keep the live path, whose speculative
-	// bus reads there return 0xFFFF and count bus errors.
+	// bus reads there return 0xFFFF and count bus errors. The region
+	// split also bounds the fused blocks: none runs from PMEM into the
+	// secure ROM, so W⊕X, secure entry/exit and the interrupt gate are
+	// uniform across every block.
 	l := m.Space.Layout
-	ramBacked := func(addr uint16) bool {
-		switch l.RegionOf(addr) {
+	region := func(addr uint16) int {
+		switch r := l.RegionOf(addr); r {
 		case mem.RegionPMEM, mem.RegionSecureROM, mem.RegionIVT:
-			return true
+			return int(r)
 		}
-		return false
+		return -1
 	}
-	p := isa.Predecode(m.Space.PeekWord, l.PMEMStart, 0xFFFF, ramBacked)
+	p := isa.Predecode(m.Space.PeekWord, l.PMEMStart, 0xFFFF, region)
 	m.UsePredecoded(p)
 	return p
 }

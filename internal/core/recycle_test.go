@@ -39,7 +39,7 @@ func newLoadedMachine(t *testing.T, p *core.Pipeline, build *core.BuildResult, s
 func observeOn(t *testing.T, m *core.Machine, base cpu.Watcher, app apps.App) (observed, [16]uint16) {
 	t.Helper()
 	rec := &eventRecorder{inner: base, clock: func() uint64 { return m.CPU.Cycles }}
-	m.CPU.Watch = rec
+	m.CPU.SetWatcher(rec)
 	if app.UARTInput != "" {
 		m.UART.Feed([]byte(app.UARTInput))
 	}
@@ -81,7 +81,7 @@ func TestRecycleDifferential(t *testing.T) {
 			for _, spec := range core.Defenses() {
 				what := fmt.Sprintf("%s defense=%s", app.Name, spec.Name)
 				m := newLoadedMachine(t, p, build, spec)
-				base := m.CPU.Watch
+				base := m.CPU.Watcher()
 				m.Snapshot()
 				fresh, freshR := observeOn(t, m, base, app)
 				// The sealed-and-run machine must itself match an

@@ -39,8 +39,12 @@ type DirectBus interface {
 	Direct() (slab *[1 << 16]byte, plain *[1 << 16]bool, hook *func(addr uint16, n int))
 }
 
-// Watcher observes architectural events. All methods are called
-// synchronously during Step; a nil watcher disables observation.
+// Watcher observes architectural events. Every method is called
+// synchronously, from Step or from the block executor (RunBlocks), at
+// the point of the event; a nil watcher disables observation. A plain
+// Watcher sees one OnFetch per executed instruction on every path; a
+// BlockWatcher trades the fetches inside fused blocks for one OnBlock
+// per block.
 type Watcher interface {
 	// OnFetch fires before the instruction at pc executes; prev is the
 	// address of the previously executed instruction (or the reset
@@ -53,6 +57,28 @@ type Watcher interface {
 	// OnInterrupt fires when an interrupt on the given line is accepted,
 	// before the context push; pc is the interrupted instruction address.
 	OnInterrupt(pc uint16, line int)
+}
+
+// BlockWatcher is a Watcher that declares a block-entry event. The block
+// executor calls OnBlock in place of the OnFetch calls for a fused
+// block's ops; OnRead, OnWrite and OnInterrupt still fire at every
+// access and acceptance, and Step still calls OnFetch per instruction.
+//
+// OnBlock(prev, first, last, ender) announces that the straight-line
+// ops from first through last are about to run, prev being the
+// previously executed instruction and ender the stack-op class of the
+// op at last (interior ops are always isa.StackOther). Every announced
+// op retires unless a violation stops the machine or an op faults: when
+// an earlier op could hand control back first (isa.Block.EarlyExit) and
+// the final op is a call or a return, the executor announces the final
+// op by itself, right before it runs. All announced ops lie in one
+// memory region (see isa.Block). A pure block whose final op jumps back
+// to its own first op re-runs in place and is announced once for all
+// its trips: the trips touch no memory and only repeat an edge inside
+// one region, so they can change no monitor's verdict.
+type BlockWatcher interface {
+	Watcher
+	OnBlock(prev, first, last uint16, ender isa.StackOp)
 }
 
 // IRQSource supplies pending interrupt lines (implemented by
@@ -85,8 +111,11 @@ type CPU struct {
 	R   [isa.NumRegs]uint16
 	bus Bus
 
-	// Watch observes architectural events (may be nil).
-	Watch Watcher
+	// watch observes architectural events (may be nil); blockWatch is
+	// the same watcher when it declares a block-entry event (see
+	// SetWatcher).
+	watch      Watcher
+	blockWatch BlockWatcher
 	// IRQ supplies maskable interrupt requests (may be nil).
 	IRQ IRQSource
 
@@ -144,6 +173,17 @@ func New(bus Bus) *CPU {
 	}
 	return c
 }
+
+// SetWatcher installs (or, with nil, removes) the watcher observing
+// architectural events. A watcher that also implements BlockWatcher
+// receives one OnBlock per fused block instead of per-op OnFetch calls.
+func (c *CPU) SetWatcher(w Watcher) {
+	c.watch = w
+	c.blockWatch, _ = w.(BlockWatcher)
+}
+
+// Watcher returns the installed watcher, or nil.
+func (c *CPU) Watcher() Watcher { return c.watch }
 
 // SetFastPaths enables (the default) or disables the warm-path
 // threaded-code executors and the direct RAM access, reverting every
@@ -274,8 +314,8 @@ func (c *CPU) Reset(resetVector uint16) {
 // --- bus helpers with watch notification -------------------------------
 
 func (c *CPU) loadWord(pc, addr uint16) uint16 {
-	if c.Watch != nil {
-		c.Watch.OnRead(pc, addr, false)
+	if c.watch != nil {
+		c.watch.OnRead(pc, addr, false)
 	}
 	if a := addr &^ 1; c.slab != nil && !c.slowMode && c.plain[a] {
 		return uint16(c.slab[a]) | uint16(c.slab[a+1])<<8
@@ -285,8 +325,8 @@ func (c *CPU) loadWord(pc, addr uint16) uint16 {
 }
 
 func (c *CPU) storeWord(pc, addr, v uint16) {
-	if c.Watch != nil {
-		c.Watch.OnWrite(pc, addr, false, v)
+	if c.watch != nil {
+		c.watch.OnWrite(pc, addr, false, v)
 	}
 	if a := addr &^ 1; c.slab != nil && !c.slowMode && c.plain[a] {
 		c.slab[a] = byte(v)
@@ -301,8 +341,8 @@ func (c *CPU) storeWord(pc, addr, v uint16) {
 }
 
 func (c *CPU) loadByte(pc, addr uint16) uint8 {
-	if c.Watch != nil {
-		c.Watch.OnRead(pc, addr, true)
+	if c.watch != nil {
+		c.watch.OnRead(pc, addr, true)
 	}
 	if c.slab != nil && !c.slowMode && c.plain[addr] {
 		return c.slab[addr]
@@ -312,8 +352,8 @@ func (c *CPU) loadByte(pc, addr uint16) uint8 {
 }
 
 func (c *CPU) storeByte(pc, addr uint16, v uint8) {
-	if c.Watch != nil {
-		c.Watch.OnWrite(pc, addr, true, uint16(v))
+	if c.watch != nil {
+		c.watch.OnWrite(pc, addr, true, uint16(v))
 	}
 	if c.slab != nil && !c.slowMode && c.plain[addr] {
 		c.slab[addr] = v
@@ -339,8 +379,8 @@ func (c *CPU) push(pc, v uint16) {
 // load PC from the vector.
 func (c *CPU) serviceInterrupt(line int, vectorAddr uint16) {
 	pc := c.R[isa.PC]
-	if c.Watch != nil {
-		c.Watch.OnInterrupt(pc, line)
+	if c.watch != nil {
+		c.watch.OnInterrupt(pc, line)
 	}
 	c.push(pc, c.R[isa.PC])
 	c.push(pc, c.R[isa.SR])
@@ -376,8 +416,8 @@ func (c *CPU) Step() (int, error) {
 	}
 
 	pc := c.R[isa.PC]
-	if c.Watch != nil {
-		c.Watch.OnFetch(c.prevPC, pc)
+	if c.watch != nil {
+		c.watch.OnFetch(c.prevPC, pc)
 	}
 
 	// Warm path: a predecoded entry that no write has touched skips the
@@ -990,11 +1030,24 @@ func (c *CPU) staleRange(w0, w1 uint16) bool {
 //   - a write landing in the block's own fetch window (self-modifying
 //     code) ends the block before the next op re-fetches, via the same
 //     dirty map that guards individual predecoded entries;
-//   - with GIE set the pending-interrupt poll runs between ops exactly
-//     as Step's does (interrupt visibility can be PC-gated, so it is
-//     not loop-invariant even though pure ops cannot raise requests);
-//   - stop, when non-nil, is polled after every op (the machine's
-//     monitor-violation check) and true ends execution there.
+//   - stop, when non-nil, is polled after every op on the guarded
+//     path (the machine's monitor-violation check) and true ends
+//     execution there; a block whose entry event tripped it runs its
+//     first op on the guarded path, exactly as per-instruction
+//     dispatch executes the instruction whose fetch tripped.
+//
+// The pending-interrupt poll runs once per block, at entry. Nothing
+// inside a block can change what it returns: interior ops never write
+// SR, a block never leaves the memory region (and so the interrupt-gate
+// state) of its first op, and only peripherals raise requests — at a
+// deadline, which admission keeps beyond the block, or on a register
+// access, which already ends the block.
+//
+// A watcher sees one OnFetch per op, or, when it is a BlockWatcher, one
+// OnBlock per block. Pure blocks take the unguarded path whenever no
+// watcher needs per-op fetches and the block-entry event raised no
+// violation: their ops touch no memory, so no monitor can trip inside
+// them.
 //
 // Interrupt service, low-power idling and non-fused instructions are
 // never handled here; the caller falls back to Step. Returns whether
@@ -1005,13 +1058,14 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 	if c.blkTable == nil || c.slowMode {
 		return false, 0, nil
 	}
+	bw := c.blockWatch
+	perOp := bw == nil && c.watch != nil
 	for {
 		sr := c.R[isa.SR]
 		if sr&isa.FlagCPUOff != 0 {
 			return
 		}
-		gie := c.IRQ != nil && sr&isa.FlagGIE != 0
-		if gie && c.IRQ.HighestPending() >= 0 {
+		if c.IRQ != nil && sr&isa.FlagGIE != 0 && c.IRQ.HighestPending() >= 0 {
 			return
 		}
 		pc := c.R[isa.PC]
@@ -1035,8 +1089,20 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 		if c.staleRange(b.W0, b.W1) {
 			return
 		}
+		n := len(ops)
+		// split announces a call or return ender on its own, once the ops
+		// before it have retired (see BlockWatcher).
+		split := false
+		if bw != nil {
+			if b.EarlyExit && b.Ender.Class != isa.StackOther {
+				split = true
+				bw.OnBlock(c.prevPC, pc, ops[n-2].PC, isa.StackOp{})
+			} else {
+				bw.OnBlock(c.prevPC, pc, ops[n-1].PC, b.Ender)
+			}
+		}
 
-		if b.Pure && !gie && stop == nil && c.Watch == nil {
+		if b.Pure && !perOp && (stop == nil || !stop()) {
 			// Pure blocks touch no memory: nothing observes PC, cycles,
 			// SR or prevPC mid-block, so account in bulk, elide dead
 			// flag results, and execute the hot op shapes inline. No
@@ -1047,7 +1113,6 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 			// cannot change SR system bits, interrupt visibility or
 			// code memory, so only the deadline admission needs
 			// re-checking per trip.
-			n := len(ops)
 			for {
 				c.R[isa.PC] = ops[n-1].Next
 				for k := range ops {
@@ -1111,8 +1176,10 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 		for k := range ops {
 			op := &ops[k]
 			lastPre = c.Cycles
-			if c.Watch != nil {
-				c.Watch.OnFetch(c.prevPC, op.PC)
+			if perOp {
+				c.watch.OnFetch(c.prevPC, op.PC)
+			} else if split && k == n-1 {
+				bw.OnBlock(c.prevPC, op.PC, op.PC, b.Ender)
 			}
 			c.R[isa.PC] = op.Next
 			c.prevPC = op.PC
@@ -1132,9 +1199,6 @@ func (c *CPU) RunBlocks(limit uint64, stop func() bool) (executed bool, lastPre 
 				g0 = c.invGen
 			}
 			if stop != nil && stop() {
-				return
-			}
-			if gie && k+1 < len(ops) && c.IRQ.HighestPending() >= 0 {
 				return
 			}
 		}

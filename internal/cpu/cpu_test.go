@@ -543,7 +543,7 @@ func TestWatcherSeesAccesses(t *testing.T) {
 		isa.Instruction{Op: isa.MOV, Src: isa.Abs(0x0300), Dst: isa.RegOp(5)},
 	)
 	w := &recWatcher{}
-	c.Watch = w
+	c.SetWatcher(w)
 	step(t, c, 2)
 	if len(w.fetches) != 2 || w.fetches[0] != 0xE000 {
 		t.Errorf("fetches = %v", w.fetches)

@@ -10,6 +10,13 @@ package isa
 // check and the deadline comparison out of the instruction loop and to
 // the block boundary.
 //
+// A block also never crosses from one memory region into another (the
+// region map Predecode was given): every op of a block lies in the
+// region of its first op. Region-level facts — W⊕X, secure-ROM entry
+// and exit, the hardware interrupt gate — are therefore the same for
+// every op of a block, so a monitor can check them once at block entry
+// and the interrupt poll needs no repeating between ops.
+//
 // Like Predecoded, a Blocks table is immutable after construction and
 // shared between every machine running byte-identical code; the fleet
 // runner's per-ROM predecode artifact carries its block table (see
@@ -65,6 +72,15 @@ type Block struct {
 	// W0, W1 bound the dirty-map word indices of every op's fetch
 	// address, the range the CPU core scans before entering the block.
 	W0, W1 uint16
+	// Ender is the stack-op class of the final op (ClassifyStack).
+	// Interior ops are always StackOther: a call, a return or a reti
+	// ends its block.
+	Ender StackOp
+	// EarlyExit marks a block that can hand control back before its
+	// final op without a violation: some earlier op touches memory, and
+	// a bus access that leaves plain RAM or a store into the block's own
+	// fetch window ends block execution right after that op.
+	EarlyExit bool
 }
 
 // Blocks is the basic-block table for a predecode window: index i holds
@@ -237,7 +253,8 @@ func BuildBlocks(p *Predecoded) *Blocks {
 		}
 		var ops []BlockOp
 		idxs = idxs[:0]
-		for j := i; ; {
+		j := i
+		for {
 			e := &entries[j]
 			pc := start + uint16(2*j)
 			ops = append(ops, BlockOp{U: &e.U, PC: pc, Next: pc + e.Size, Cycles: e.Cycles})
@@ -247,27 +264,31 @@ func BuildBlocks(p *Predecoded) *Blocks {
 			}
 			nj := j + int(e.Size)>>1
 			if nj >= len(entries) || !entries[nj].OK || !entries[nj].Fast ||
-				bl.blocks[nj].Ops != nil {
+				bl.blocks[nj].Ops != nil || p.regions != nil && p.regions[nj] != p.regions[i] {
 				break
 			}
 			j = nj
 		}
 		markLiveFlags(ops)
+		last := &ops[len(ops)-1]
+		ender := ClassifyStack(last.PC, entries[j].In)
 		// Every op address starts its own block: the suffix of this run.
 		for d, idx := range idxs {
 			sub := ops[d:]
 			var cyc uint32
-			pure := true
+			early := false
 			for k := range sub {
 				cyc += uint32(sub[k].Cycles)
-				pure = pure && opPure(sub[k].U)
+				early = early || k < len(sub)-1 && !opPure(sub[k].U)
 			}
 			bl.blocks[idx] = Block{
-				Ops:    sub,
-				Cycles: cyc,
-				Pure:   pure,
-				W0:     sub[0].PC >> 1,
-				W1:     sub[len(sub)-1].PC >> 1,
+				Ops:       sub,
+				Cycles:    cyc,
+				Pure:      !early && opPure(last.U),
+				W0:        sub[0].PC >> 1,
+				W1:        last.PC >> 1,
+				Ender:     ender,
+				EarlyExit: early,
 			}
 		}
 	}

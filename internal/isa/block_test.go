@@ -198,3 +198,70 @@ func TestMarkLiveFlags(t *testing.T) {
 		t.Error("last flag writer of a block must stay live")
 	}
 }
+
+// TestBuildBlocksStopAtRegionBoundary: a straight-line run that crosses
+// from one region into the next is fused as two blocks, one per region,
+// and a fetch window that leaves the regions stays uncached.
+func TestBuildBlocksStopAtRegionBoundary(t *testing.T) {
+	var ins []Instruction
+	for i := 0; i < 8; i++ {
+		ins = append(ins, Instruction{Op: ADD, Src: RegOp(10), Dst: RegOp(11)})
+	}
+	ins = append(ins, Instruction{Op: JMP, JumpOffset: -1})
+	read, end := buildMem(0x1000, ins) // 0x1000..0x1011
+	region := func(a uint16) int {
+		switch {
+		case a < 0x1008:
+			return 0
+		case a < 0x1100:
+			return 1
+		}
+		return -1
+	}
+	b := BuildBlocks(Predecode(read, 0x1000, end, region))
+	head := b.At(0x1000)
+	if head == nil || len(head.Ops) != 4 || head.Ops[3].PC != 0x1006 {
+		t.Fatalf("head block = %+v, want the 4 ops below the boundary", head)
+	}
+	if tail := b.At(0x1008); tail == nil || len(tail.Ops) != 5 {
+		t.Fatalf("block at the boundary = %+v, want the 5 ops above it", tail)
+	}
+}
+
+// TestBuildBlocksEnderClass: a block carries its final op's stack-op
+// class — a call with its return address, a ret, a reti, or other —
+// and EarlyExit marks only blocks with a memory op before the final
+// one.
+func TestBuildBlocksEnderClass(t *testing.T) {
+	ins := []Instruction{
+		{Op: ADD, Src: RegOp(10), Dst: RegOp(11)},       // 0x1000
+		{Op: CALL, Src: ImmExt(0x2000)},                 // 0x1002, ra 0x1006
+		{Op: MOV, Src: Abs(0x0200), Dst: RegOp(12)},     // 0x1006
+		{Op: MOV, Src: IndirectInc(SP), Dst: RegOp(PC)}, // 0x100A ret
+		{Op: RETI}, // 0x100C
+		{Op: ADD, Src: RegOp(10), Dst: RegOp(11)}, // 0x100E
+		{Op: JMP, JumpOffset: -1},                 // 0x1010
+	}
+	read, end := buildMem(0x1000, ins)
+	b := BuildBlocks(Predecode(read, 0x1000, end, nil))
+	for _, c := range []struct {
+		pc    uint16
+		ender StackOp
+		early bool
+	}{
+		{0x1000, StackOp{Class: StackCall, RA: 0x1006}, false},
+		{0x1002, StackOp{Class: StackCall, RA: 0x1006}, false},
+		{0x1006, StackOp{Class: StackRet}, true},
+		{0x100A, StackOp{Class: StackRet}, false},
+		{0x100C, StackOp{Class: StackReti}, false},
+		{0x100E, StackOp{}, false},
+	} {
+		blk := b.At(c.pc)
+		if blk == nil {
+			t.Fatalf("no block at 0x%04x", c.pc)
+		}
+		if blk.Ender != c.ender || blk.EarlyExit != c.early {
+			t.Errorf("block 0x%04x: ender %+v early %v, want %+v %v", c.pc, blk.Ender, blk.EarlyExit, c.ender, c.early)
+		}
+	}
+}

@@ -32,6 +32,9 @@ type Entry struct {
 type Predecoded struct {
 	start   uint16
 	entries []Entry
+	// regions[i] is the memory region of fetch address start + 2*i (nil:
+	// one region); BuildBlocks ends every block at a region boundary.
+	regions []int8
 
 	// blkOnce/blk lazily build the basic-block table fused from the
 	// entries (see BuildBlocks). Keeping the blocks on the cache means
@@ -46,18 +49,28 @@ type Predecoded struct {
 // uncached and fall back to the live path at run time, as do the last
 // two word slots of the address space (their fetch window would wrap).
 //
-// fetchable, when non-nil, restricts caching to addresses whose whole
-// three-word fetch window it accepts. The live path speculatively reads
-// all three words through the bus, so a window that strays into
-// unmapped or peripheral space has observable side effects (bus-error
-// accounting, handler reads) the cache would skip; such addresses must
-// stay on the live path.
-func Predecode(read func(addr uint16) uint16, start, end uint16, fetchable func(addr uint16) bool) *Predecoded {
+// region, when non-nil, maps an address to the memory region holding
+// it, or to a negative value when fetching from it has bus side
+// effects. Caching is restricted to addresses whose whole three-word
+// fetch window lies in regions: the live path speculatively reads all
+// three words through the bus, so a window that strays into unmapped or
+// peripheral space has observable side effects (bus-error accounting,
+// handler reads) the cache would skip; such addresses must stay on the
+// live path. The block table fused from the cache (Blocks) also never
+// lets a block cross from one region into another.
+func Predecode(read func(addr uint16) uint16, start, end uint16, region func(addr uint16) int) *Predecoded {
 	start &^= 1
 	n := (int(end)-int(start))/2 + 1
 	p := &Predecoded{start: start}
 	if n <= 0 {
 		return p
+	}
+	if region != nil {
+		// Two slots past the window cover the last fetch windows.
+		p.regions = make([]int8, n+2)
+		for i := range p.regions {
+			p.regions[i] = int8(region(start + uint16(2*i)))
+		}
 	}
 	p.entries = make([]Entry, n)
 	for i := range p.entries {
@@ -65,7 +78,7 @@ func Predecode(read func(addr uint16) uint16, start, end uint16, fetchable func(
 		if addr >= 0xFFFC {
 			continue
 		}
-		if fetchable != nil && !(fetchable(addr) && fetchable(addr+2) && fetchable(addr+4)) {
+		if p.regions != nil && (p.regions[i] < 0 || p.regions[i+1] < 0 || p.regions[i+2] < 0) {
 			continue
 		}
 		words := [3]uint16{read(addr), read(addr + 2), read(addr + 4)}

@@ -93,8 +93,13 @@ func TestPredecodeWrapWindow(t *testing.T) {
 // the live path's speculative reads there have observable side effects.
 func TestPredecodeFetchablePredicate(t *testing.T) {
 	read := func(a uint16) uint16 { return 0x4303 } // nop (mov r3, r3)
-	fetchable := func(a uint16) bool { return a < 0x3010 }
-	p := Predecode(read, 0x3000, 0x3020, fetchable)
+	region := func(a uint16) int {
+		if a < 0x3010 {
+			return 0
+		}
+		return -1
+	}
+	p := Predecode(read, 0x3000, 0x3020, region)
 	if _, _, _, ok := p.Lookup(0x3008); !ok {
 		t.Error("window fully inside the region should be cached")
 	}

@@ -139,11 +139,9 @@ func (l Layout) InSecureROM(addr uint16) bool {
 // the W⊕X policy (program memory, secure ROM and the IVT-resident reset
 // path only).
 func (l Layout) Executable(addr uint16) bool {
-	switch l.RegionOf(addr) {
-	case RegionPMEM, RegionSecureROM:
-		return true
-	}
-	return false
+	// RegionOf's precedence, for the two executable regions only: the
+	// check runs at every monitored block entry.
+	return addr < l.IVTStart && (l.InSecureROM(addr) || addr >= l.PMEMStart && addr <= l.PMEMEnd)
 }
 
 // Handler services memory-mapped peripheral accesses. Addresses passed in
